@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -41,6 +43,28 @@ func TestSaveRestoreDiffRoundTrip(t *testing.T) {
 	}
 	if code := run(quick("restore", a, "-run")); code != 0 {
 		t.Fatalf("restore -run exited %d", code)
+	}
+}
+
+// warmSnapSHA256 is the SHA-256 of `rcoe-snap save -records 24 -ops 40`
+// (1,464,307 bytes, 18 sections). It pins the checkpoint format across
+// commits: the round-trip tests only compare save against restore→save
+// within one build. A deliberate format change updates this digest and
+// says why.
+const warmSnapSHA256 = "2e61cf63efff46fcbeebd664a0685485b76ef3c15eab238bb42833799dfce9e4"
+
+func TestSaveFormatGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "warm.snp")
+	if code := run(quick("save", "-o", path)); code != 0 {
+		t.Fatalf("save exited %d", code)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != warmSnapSHA256 {
+		t.Fatalf("checkpoint format changed: %d bytes, sha256 %s, want %s", len(data), got, warmSnapSHA256)
 	}
 }
 

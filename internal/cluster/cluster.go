@@ -173,8 +173,11 @@ type shard struct {
 	queue       []*pending
 	outstanding map[uint32]*pending
 	// lastCkpt is the latest checkpoint image; replay the acked writes
-	// on top of it to rebuild the shard's authoritative state.
+	// on top of it to rebuild the shard's authoritative state. spare is
+	// the image before it, kept as the buffer the next checkpoint is
+	// serialized into.
 	lastCkpt  []byte
+	spare     []byte
 	replay    []ackedWrite
 	stats     ShardStats
 	loadQueue int // load-phase requests still queued or in flight here
@@ -598,14 +601,17 @@ func (c *Cluster) OpsDone() uint64 { return c.opsDone }
 
 // Checkpoint snapshots shard id's node and truncates its replay log:
 // subsequent failover restores the checkpoint and replays only the
-// writes acknowledged since.
+// writes acknowledged since. The image is serialized into the shard's
+// spare buffer, never over lastCkpt, and the two swap only on success,
+// so a failed save leaves the previous checkpoint and the replay log
+// intact.
 func (c *Cluster) Checkpoint(id int) error {
 	sh := c.shards[id]
-	ckpt, err := snapshot.Save(sh.node)
+	ckpt, err := snapshot.AppendSave(sh.spare[:0], sh.node)
 	if err != nil {
 		return fmt.Errorf("cluster: checkpoint shard %d: %w", id, err)
 	}
-	sh.lastCkpt = ckpt
+	sh.lastCkpt, sh.spare = ckpt, sh.lastCkpt
 	sh.replay = sh.replay[:0]
 	return nil
 }

@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"rcoe/internal/asm"
@@ -184,6 +185,55 @@ func TestMachineStateHardFaults(t *testing.T) {
 		v, _ := m.Mem().ReadU(0x9000, 1)
 		if v != 1<<3 {
 			t.Fatalf("stuck bit not asserted after restore: %#x", v)
+		}
+	}
+}
+
+// zeroPagesRef is the byte-at-a-time reference for nonzeroPages.
+func zeroPagesRef(mem []byte) []uint64 {
+	var pages []uint64
+	for i, v := range mem {
+		p := uint64(i) >> pageShift
+		if v != 0 && (len(pages) == 0 || pages[len(pages)-1] != p) {
+			pages = append(pages, p)
+		}
+	}
+	return pages
+}
+
+// TestNonzeroPagesEdges checks the zero-page scan against the byte-wise
+// reference: a single nonzero byte at every offset in the first and last
+// 40 bytes of a page (every lane of the compare's block and word steps
+// and its byte tail), in arenas whose size is a whole number of pages
+// and in ones ending in a short page that is not a multiple of 32 or 8
+// bytes.
+func TestNonzeroPagesEdges(t *testing.T) {
+	const page = 1 << pageShift
+	for _, size := range []int{3 * page, 3*page + 1000 + 13, 2*page + 37, 2*page + 5} {
+		mem := make([]byte, size)
+		last := (size - 1) / page * page
+		var offs []int
+		for _, base := range []int{page, last} {
+			end := min(base+page, size)
+			for i := 0; i < 40; i++ {
+				offs = append(offs, base+i, end-1-i)
+			}
+		}
+		for _, off := range offs {
+			if off < 0 || off >= size {
+				continue
+			}
+			for _, v := range []byte{1, 0x80} {
+				mem[off] = v
+				got, want := nonzeroPages(mem), zeroPagesRef(mem)
+				if !slices.Equal(got, want) {
+					t.Fatalf("size %d, byte %#x at %d: pages %v, want %v", size, v, off, got, want)
+				}
+				mem[off] = 0
+			}
+		}
+		if got := nonzeroPages(mem); len(got) != 0 {
+			t.Fatalf("size %d: all-zero arena selected pages %v", size, got)
 		}
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 )
 
@@ -62,6 +63,10 @@ func IncompatibleError(section, field string, target, snap interface{}) error {
 // (same configuration, program, and device registration order): derived
 // host-side state — execution caches, page generations, park closures —
 // is reconstructed by the owner, not serialized.
+//
+// LoadState must copy whatever it keeps out of the snapshot: a parsed
+// snapshot's sections are views into the caller's image, and the caller
+// may overwrite that image once LoadState returns (see Dec.BytesView).
 type Snapshotter interface {
 	SaveState(w *Writer) error
 	LoadState(s *Snapshot) error
@@ -73,67 +78,70 @@ type Section struct {
 	Data []byte
 }
 
-// Writer accumulates sections and serializes them. Errors latch: after
-// the first failure every call is a no-op and Bytes returns the error.
+// Writer serializes sections straight into one output buffer, in a
+// single pass. Each section header goes out with a placeholder payload
+// length that is back-patched when the next section starts; the section
+// count is back-patched by Bytes. Errors latch: after the first failure
+// Bytes returns the error and no bytes.
 type Writer struct {
-	sections []Section
-	cur      *Enc
-	curName  string
-	err      error
+	enc   Enc      // shared by every section; enc.buf is the output
+	base  int      // offset of the magic within enc.buf
+	names []string // section names so far, for the uniqueness check
+	lenAt int      // offset of the open section's length field, or -1
+	err   error
 }
 
 // NewWriter returns an empty snapshot writer.
-func NewWriter() *Writer { return &Writer{} }
+func NewWriter() *Writer { return newWriter(nil) }
+
+// newWriter returns a writer that appends the snapshot to dst.
+func newWriter(dst []byte) *Writer {
+	w := &Writer{base: len(dst), lenAt: -1}
+	w.enc.buf = append(dst, magic[:]...)
+	w.enc.buf = binary.LittleEndian.AppendUint32(w.enc.buf, Version)
+	w.enc.buf = binary.LittleEndian.AppendUint32(w.enc.buf, 0) // section count
+	return w
+}
 
 // Section begins a new named section and returns its encoder. The
 // previous section, if any, is finalized. Section names must be unique
-// within one snapshot.
+// within one snapshot. The encoder writes into the writer's shared
+// buffer, so it is only valid until the next Section or Bytes call.
 func (w *Writer) Section(name string) *Enc {
 	w.flush()
-	if w.err == nil {
-		for _, s := range w.sections {
-			if s.Name == name {
-				w.err = fmt.Errorf("snapshot: duplicate section %q", name)
-			}
-		}
+	if w.err == nil && slices.Contains(w.names, name) {
+		w.err = fmt.Errorf("snapshot: duplicate section %q", name)
 	}
-	w.cur = &Enc{}
-	w.curName = name
-	return w.cur
+	w.names = append(w.names, name)
+	b := binary.LittleEndian.AppendUint32(w.enc.buf, uint32(len(name)))
+	b = append(b, name...)
+	w.lenAt = len(b)
+	w.enc.buf = binary.LittleEndian.AppendUint64(b, 0) // payload length
+	return &w.enc
 }
 
+// flush back-patches the open section's payload length.
 func (w *Writer) flush() {
-	if w.cur == nil {
+	if w.lenAt < 0 {
 		return
 	}
-	w.sections = append(w.sections, Section{Name: w.curName, Data: w.cur.buf})
-	w.cur = nil
+	n := len(w.enc.buf) - (w.lenAt + 8)
+	binary.LittleEndian.PutUint64(w.enc.buf[w.lenAt:], uint64(n))
+	w.lenAt = -1
 }
 
 // Err returns the first error the writer latched.
 func (w *Writer) Err() error { return w.err }
 
-// Bytes finalizes the snapshot and returns its serialized form.
+// Bytes finalizes the snapshot and returns its serialized form (after
+// any bytes the writer was started on, for AppendSave).
 func (w *Writer) Bytes() ([]byte, error) {
 	w.flush()
 	if w.err != nil {
 		return nil, w.err
 	}
-	size := len(magic) + 8
-	for _, s := range w.sections {
-		size += 4 + len(s.Name) + 8 + len(s.Data)
-	}
-	out := make([]byte, 0, size)
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, Version)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(w.sections)))
-	for _, s := range w.sections {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(s.Name)))
-		out = append(out, s.Name...)
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(s.Data)))
-		out = append(out, s.Data...)
-	}
-	return out, nil
+	binary.LittleEndian.PutUint32(w.enc.buf[w.base+12:], uint32(len(w.names)))
+	return w.enc.buf, nil
 }
 
 // Snapshot is a parsed snapshot: an ordered list of named sections.
@@ -216,6 +224,10 @@ type Enc struct {
 	buf []byte
 }
 
+// Grow reserves room for n more bytes, so a section whose size is known
+// up front is written without intermediate reallocations.
+func (e *Enc) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
+
 // U64 appends one unsigned 64-bit word.
 func (e *Enc) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 
@@ -249,8 +261,26 @@ func (e *Enc) String(s string) {
 // U64s appends a length-prefixed slice of words.
 func (e *Enc) U64s(vs []uint64) {
 	e.U64(uint64(len(vs)))
-	for _, v := range vs {
-		e.U64(v)
+	off := len(e.buf)
+	e.buf = slices.Grow(e.buf, 8*len(vs))[:off+8*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(e.buf[off+8*i:], v)
+	}
+}
+
+// Bools appends a length-prefixed byte string holding one 0/1 byte per
+// element: the bytes Bytes would write for the converted slice, without
+// the temporary.
+func (e *Enc) Bools(bs []bool) {
+	e.U64(uint64(len(bs)))
+	off := len(e.buf)
+	e.buf = slices.Grow(e.buf, len(bs))[:off+len(bs)]
+	for i, v := range bs {
+		var b byte
+		if v {
+			b = 1
+		}
+		e.buf[off+i] = b
 	}
 }
 
@@ -342,10 +372,12 @@ func (d *Dec) Bytes() []byte {
 }
 
 // BytesView returns the next length-prefixed byte string as a view into
-// the decoder's backing buffer, without copying. The view is only valid
-// while the snapshot's buffer is live; callers that retain the data must
-// use Bytes. Intended for bulk payloads (memory pages) that are copied
-// straight into their destination.
+// the decoder's backing buffer, without copying. Intended for bulk
+// payloads (memory pages, cache bitmaps) that are copied straight into
+// their destination. A LoadState must not retain a view past its return:
+// the image it was restored from may be reused as the buffer of a later
+// save (Cluster.Checkpoint does exactly that). Callers that keep the data
+// must use Bytes.
 func (d *Dec) BytesView() []byte {
 	n := d.U64()
 	if d.err != nil {
@@ -399,12 +431,23 @@ func (d *Dec) SortedU64Map() map[uint64]uint64 {
 }
 
 // Save serializes a Snapshotter's state to bytes.
-func Save(s Snapshotter) ([]byte, error) {
-	w := NewWriter()
+func Save(s Snapshotter) ([]byte, error) { return AppendSave(nil, s) }
+
+// AppendSave appends the serialized state of s to dst and returns the
+// extended slice. It reuses dst's spare capacity, so a caller that saves
+// repeatedly can hand back an earlier image (as dst[:0]) and serialize
+// without allocating. On error it returns dst unchanged, though the
+// bytes past len(dst) may have been overwritten.
+func AppendSave(dst []byte, s Snapshotter) ([]byte, error) {
+	w := newWriter(dst)
 	if err := s.SaveState(w); err != nil {
-		return nil, err
+		return dst, err
 	}
-	return w.Bytes()
+	out, err := w.Bytes()
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
 }
 
 // Restore parses data and loads it into target. The target must be a

@@ -157,8 +157,12 @@ func TestDuplicateSectionRejected(t *testing.T) {
 	w := NewWriter()
 	w.Section("dup").U64(1)
 	w.Section("dup").U64(2)
-	if _, err := w.Bytes(); err == nil {
-		t.Fatal("duplicate section accepted")
+	if data, err := w.Bytes(); err == nil || data != nil {
+		t.Fatalf("duplicate section: %d bytes, err %v; want no bytes and an error", len(data), err)
+	}
+	dst := make([]byte, 3, 1<<16)
+	if got, err := AppendSave(dst, fixedSections{dup: true}); err == nil || len(got) != len(dst) {
+		t.Fatalf("AppendSave with a duplicate section: %d bytes, err %v; want dst's %d and an error", len(got), err, len(dst))
 	}
 }
 
@@ -218,5 +222,110 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	if got := d.String(); got != "payload" {
 		t.Fatalf("got %q", got)
+	}
+}
+
+// fixedSections is a Snapshotter whose SaveState writes fixed sections: a
+// large one, small ones, and an empty last one.
+type fixedSections struct{ dup bool }
+
+func (s fixedSections) SaveState(w *Writer) error {
+	big := make([]uint64, 5000)
+	for i := range big {
+		big[i] = uint64(i) << 40
+	}
+	w.Section("big").U64s(big)
+	e := w.Section("small")
+	e.String("payload")
+	e.Bools([]bool{true, false, true})
+	if s.dup {
+		w.Section("small").U64(1)
+	}
+	w.Section("empty")
+	return w.Err()
+}
+
+func (fixedSections) LoadState(*Snapshot) error { return nil }
+
+// TestAppendSaveMatchesSave pins that the append-style save writes the
+// same bytes as Save whatever dst it is given, and keeps dst's prefix.
+func TestAppendSaveMatchesSave(t *testing.T) {
+	want, err := Save(fixedSections{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := bytes.Repeat([]byte{0xA5}, 2*len(want))
+	for name, dst := range map[string][]byte{
+		"nil":       nil,
+		"dirty":     dirty[:0],
+		"too small": make([]byte, 0, 16),
+		"prefix":    []byte("prefix"),
+	} {
+		prefix := bytes.Clone(dst)
+		got, err := AppendSave(dst, fixedSections{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("%s: AppendSave bytes differ from Save", name)
+		}
+	}
+	if got, _ := AppendSave(dirty[:0], fixedSections{}); &got[0] != &dirty[0] {
+		t.Fatal("AppendSave did not reuse a large enough dst")
+	}
+}
+
+// TestWriterBackPatch checks the back-patched section count and payload
+// lengths parse back, for a writer with no sections and one whose last
+// section is empty.
+func TestWriterBackPatch(t *testing.T) {
+	data, err := NewWriter().Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != 16 || len(snap.Sections()) != 0 {
+		t.Fatalf("empty writer: %d bytes, %d sections", len(data), len(snap.Sections()))
+	}
+
+	data, err = Save(fixedSections{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err = Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	var sizes []int
+	for _, s := range snap.Sections() {
+		names = append(names, s.Name)
+		sizes = append(sizes, len(s.Data))
+	}
+	if want := []string{"big", "small", "empty"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("sections %v, want %v", names, want)
+	}
+	if want := []int{8 + 8*5000, 8 + 7 + 8 + 3, 0}; !reflect.DeepEqual(sizes, want) {
+		t.Fatalf("section sizes %v, want %v", sizes, want)
+	}
+	d, _ := snap.Section("small")
+	if got := d.String(); got != "payload" {
+		t.Fatalf("small: got %q", got)
+	}
+	if got := d.Bytes(); !bytes.Equal(got, []byte{1, 0, 1}) {
+		t.Fatalf("Bools: got %v", got)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, _ = snap.Section("big")
+	if got := d.U64s(); len(got) != 5000 || got[4999] != 4999<<40 {
+		t.Fatalf("big: %d words", len(got))
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
