@@ -95,76 +95,85 @@ func assertIdentical(t *testing.T, name, fast, slow string) {
 	}
 }
 
+// The scenarios below are shared by the differential determinism tests
+// and the park-memo shadow check (park_shadow_test.go): each runs once
+// under host variant v and returns what the differential compares.
+
+var table2Configs = []struct {
+	name string
+	cfg  rcoe.Config
+}{
+	{"base", rcoe.Config{Mode: rcoe.ModeNone, Replicas: 1, TickCycles: 20_000}},
+	{"lc-dmr", rcoe.Config{Mode: rcoe.ModeLC, Replicas: 2, TickCycles: 20_000}},
+	{"lc-tmr", rcoe.Config{Mode: rcoe.ModeLC, Replicas: 3, TickCycles: 20_000}},
+	{"cc-dmr", rcoe.Config{Mode: rcoe.ModeCC, Replicas: 2, TickCycles: 20_000}},
+}
+
+var table2Programs = []struct {
+	name string
+	prog rcoe.Program
+}{
+	{"dhrystone", rcoe.Dhrystone(300)},
+	{"whetstone", rcoe.Whetstone(30)},
+}
+
+func runTable2Kernel(t *testing.T, cfg rcoe.Config, prog rcoe.Program, v hostVariant) string {
+	t.Helper()
+	v.apply(&cfg)
+	sys, err := rcoe.BuildSystem(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Run(500_000_000); err != nil {
+		t.Fatalf("run (%s): %v", v.name, err)
+	}
+	return systemFingerprint(sys)
+}
+
 func TestDeterminismTable2Kernels(t *testing.T) {
-	configs := []struct {
-		name string
-		cfg  rcoe.Config
-	}{
-		{"base", rcoe.Config{Mode: rcoe.ModeNone, Replicas: 1, TickCycles: 20_000}},
-		{"lc-dmr", rcoe.Config{Mode: rcoe.ModeLC, Replicas: 2, TickCycles: 20_000}},
-		{"lc-tmr", rcoe.Config{Mode: rcoe.ModeLC, Replicas: 3, TickCycles: 20_000}},
-		{"cc-dmr", rcoe.Config{Mode: rcoe.ModeCC, Replicas: 2, TickCycles: 20_000}},
-	}
-	programs := []struct {
-		name string
-		prog rcoe.Program
-	}{
-		{"dhrystone", rcoe.Dhrystone(300)},
-		{"whetstone", rcoe.Whetstone(30)},
-	}
-	for _, p := range programs {
-		for _, c := range configs {
+	for _, p := range table2Programs {
+		for _, c := range table2Configs {
 			t.Run(p.name+"/"+c.name, func(t *testing.T) {
-				run := func(v hostVariant) string {
-					cfg := c.cfg
-					v.apply(&cfg)
-					sys, err := rcoe.BuildSystem(cfg, p.prog)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := sys.Run(500_000_000); err != nil {
-						t.Fatalf("run (%s): %v", v.name, err)
-					}
-					return systemFingerprint(sys)
-				}
-				base := run(hostVariants[0])
+				base := runTable2Kernel(t, c.cfg, p.prog, hostVariants[0])
 				for _, v := range hostVariants[1:] {
-					assertIdentical(t, p.name+"/"+c.name+"/"+v.name, base, run(v))
+					assertIdentical(t, p.name+"/"+c.name+"/"+v.name, base, runTable2Kernel(t, c.cfg, p.prog, v))
 				}
 			})
 		}
 	}
 }
 
-func TestDeterminismKVUnderYCSB(t *testing.T) {
-	run := func(v hostVariant) (harness.KVResult, string) {
-		cfg := rcoe.Config{
-			Mode:       rcoe.ModeLC,
-			Replicas:   3,
-			TickCycles: 50_000,
-			Trace:      rcoe.TraceConfig{Enabled: true},
-		}
-		v.apply(&cfg)
-		opts := harness.KVOptions{
-			System:     cfg,
-			Workload:   workload.YCSBA,
-			Records:    40,
-			Operations: 80,
-			Seed:       11,
-		}
-		kv, err := harness.NewKV(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := kv.Run()
-		if err != nil {
-			t.Fatalf("kv run (%s): %v", v.name, err)
-		}
-		return res, systemFingerprint(kv.Sys)
+func runKVUnderYCSB(t *testing.T, v hostVariant) (harness.KVResult, string) {
+	t.Helper()
+	cfg := rcoe.Config{
+		Mode:       rcoe.ModeLC,
+		Replicas:   3,
+		TickCycles: 50_000,
+		Trace:      rcoe.TraceConfig{Enabled: true},
 	}
-	baseRes, baseFP := run(hostVariants[0])
+	v.apply(&cfg)
+	opts := harness.KVOptions{
+		System:     cfg,
+		Workload:   workload.YCSBA,
+		Records:    40,
+		Operations: 80,
+		Seed:       11,
+	}
+	kv, err := harness.NewKV(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := kv.Run()
+	if err != nil {
+		t.Fatalf("kv run (%s): %v", v.name, err)
+	}
+	return res, systemFingerprint(kv.Sys)
+}
+
+func TestDeterminismKVUnderYCSB(t *testing.T) {
+	baseRes, baseFP := runKVUnderYCSB(t, hostVariants[0])
 	for _, v := range hostVariants[1:] {
-		res, fp := run(v)
+		res, fp := runKVUnderYCSB(t, v)
 		assertIdentical(t, "kv-ycsba/"+v.name, baseFP, fp)
 		if !reflect.DeepEqual(baseRes, res) {
 			t.Fatalf("KV results diverged (%s):\nbase: %+v\ngot:  %+v", v.name, baseRes, res)
@@ -172,56 +181,60 @@ func TestDeterminismKVUnderYCSB(t *testing.T) {
 	}
 }
 
+func runMaskingDowngrade(t *testing.T, v hostVariant) string {
+	t.Helper()
+	cfg := rcoe.Config{
+		Mode:           rcoe.ModeLC,
+		Replicas:       3,
+		Masking:        true,
+		TickCycles:     20_000,
+		BarrierTimeout: 200_000,
+	}
+	v.apply(&cfg)
+	sys, err := rcoe.BuildSystem(cfg, rcoe.Dhrystone(20_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.RunCycles(50_000)
+	sys.InjectStall(2)
+	if err := sys.Run(500_000_000); err != nil {
+		t.Fatalf("run (%s): %v", v.name, err)
+	}
+	if len(sys.Detections()) == 0 {
+		t.Fatalf("stall produced no detection (%s)", v.name)
+	}
+	return systemFingerprint(sys)
+}
+
 func TestDeterminismMaskingDowngrade(t *testing.T) {
-	run := func(v hostVariant) string {
-		cfg := rcoe.Config{
-			Mode:           rcoe.ModeLC,
-			Replicas:       3,
-			Masking:        true,
-			TickCycles:     20_000,
-			BarrierTimeout: 200_000,
-		}
-		v.apply(&cfg)
-		sys, err := rcoe.BuildSystem(cfg, rcoe.Dhrystone(20_000))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.RunCycles(50_000)
-		sys.InjectStall(2)
-		if err := sys.Run(500_000_000); err != nil {
-			t.Fatalf("run (%s): %v", v.name, err)
-		}
-		if len(sys.Detections()) == 0 {
-			t.Fatalf("stall produced no detection (%s)", v.name)
-		}
-		return systemFingerprint(sys)
-	}
-	base := run(hostVariants[0])
+	base := runMaskingDowngrade(t, hostVariants[0])
 	for _, v := range hostVariants[1:] {
-		assertIdentical(t, "masking-downgrade/"+v.name, base, run(v))
+		assertIdentical(t, "masking-downgrade/"+v.name, base, runMaskingDowngrade(t, v))
 	}
+}
+
+func runSoakCycle(t *testing.T, v hostVariant) faults.SoakResult {
+	t.Helper()
+	var cfg rcoe.Config
+	v.apply(&cfg)
+	res, err := rcoe.Soak(rcoe.SoakOptions{
+		System: cfg,
+		Cycles: 2,
+		Seed:   5,
+	})
+	if err != nil {
+		t.Fatalf("soak (%s): %v", v.name, err)
+	}
+	return res
 }
 
 func TestDeterminismSoakCycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("naive-mode soak is slow")
 	}
-	run := func(v hostVariant) faults.SoakResult {
-		var cfg rcoe.Config
-		v.apply(&cfg)
-		res, err := rcoe.Soak(rcoe.SoakOptions{
-			System: cfg,
-			Cycles: 2,
-			Seed:   5,
-		})
-		if err != nil {
-			t.Fatalf("soak (%s): %v", v.name, err)
-		}
-		return res
-	}
-	base := run(hostVariants[0])
+	base := runSoakCycle(t, hostVariants[0])
 	for _, v := range hostVariants[1:] {
-		got := run(v)
+		got := runSoakCycle(t, v)
 		if !reflect.DeepEqual(base, got) {
 			t.Fatalf("soak campaigns diverged (%s):\nbase: cycles=%+v windows=%v ops=%d violations=%v\ngot:  cycles=%+v windows=%v ops=%d violations=%v",
 				v.name, base.Cycles, base.Windows, base.Ops, base.Violations,
@@ -236,63 +249,67 @@ func TestDeterminismSoakCycle(t *testing.T) {
 // exercises the invalidation protocols hardest — bit-flips land in live
 // instruction bytes, sometimes under a cached superblock mid-batch — so
 // the tallies must be byte-identical across modes.
-func TestDeterminismFaultCampaigns(t *testing.T) {
-	memRun := func(noEC, noSB bool) *faults.Tally {
-		tally, err := rcoe.MemCampaign(rcoe.MemCampaignOptions{
-			KV: harness.KVOptions{
-				System: rcoe.Config{
-					Mode:              rcoe.ModeLC,
-					Replicas:          3,
-					TickCycles:        50_000,
-					DisableExecCache:  noEC,
-					DisableSuperblock: noSB,
-				},
-				Workload:   workload.YCSBA,
-				Records:    20,
-				Operations: 40,
-				Seed:       7,
-			},
-			Trials:          6,
-			FlipEveryCycles: 40_000,
-			MaxFlips:        40,
-			Seed:            21,
-		})
-		if err != nil {
-			t.Fatalf("mem campaign (noEC=%v noSB=%v): %v", noEC, noSB, err)
-		}
-		return tally
-	}
-	memBase := memRun(false, false)
-	if got := memRun(true, false); !reflect.DeepEqual(memBase, got) {
-		t.Fatalf("mem campaign tallies diverged (no-execcache):\ncached: %+v\nnaive:  %+v", memBase, got)
-	}
-	if got := memRun(false, true); !reflect.DeepEqual(memBase, got) {
-		t.Fatalf("mem campaign tallies diverged (no-superblock):\nbatched: %+v\nstepped: %+v", memBase, got)
-	}
-
-	regRun := func(noEC, noSB bool) faults.RegTally {
-		tally, err := rcoe.RegCampaign(rcoe.RegCampaignOptions{
+func runMemCampaign(t *testing.T, noEC, noSB bool) *faults.Tally {
+	t.Helper()
+	tally, err := rcoe.MemCampaign(rcoe.MemCampaignOptions{
+		KV: harness.KVOptions{
 			System: rcoe.Config{
-				Mode:              rcoe.ModeCC,
-				Replicas:          2,
+				Mode:              rcoe.ModeLC,
+				Replicas:          3,
 				TickCycles:        50_000,
 				DisableExecCache:  noEC,
 				DisableSuperblock: noSB,
 			},
-			MessageBytes: 512,
-			Trials:       6,
-			Seed:         33,
-		})
-		if err != nil {
-			t.Fatalf("reg campaign (noEC=%v noSB=%v): %v", noEC, noSB, err)
-		}
-		return tally
+			Workload:   workload.YCSBA,
+			Records:    20,
+			Operations: 40,
+			Seed:       7,
+		},
+		Trials:          6,
+		FlipEveryCycles: 40_000,
+		MaxFlips:        40,
+		Seed:            21,
+	})
+	if err != nil {
+		t.Fatalf("mem campaign (noEC=%v noSB=%v): %v", noEC, noSB, err)
 	}
-	regBase := regRun(false, false)
-	if got := regRun(true, false); !reflect.DeepEqual(regBase, got) {
+	return tally
+}
+
+func runRegCampaign(t *testing.T, noEC, noSB bool) faults.RegTally {
+	t.Helper()
+	tally, err := rcoe.RegCampaign(rcoe.RegCampaignOptions{
+		System: rcoe.Config{
+			Mode:              rcoe.ModeCC,
+			Replicas:          2,
+			TickCycles:        50_000,
+			DisableExecCache:  noEC,
+			DisableSuperblock: noSB,
+		},
+		MessageBytes: 512,
+		Trials:       6,
+		Seed:         33,
+	})
+	if err != nil {
+		t.Fatalf("reg campaign (noEC=%v noSB=%v): %v", noEC, noSB, err)
+	}
+	return tally
+}
+
+func TestDeterminismFaultCampaigns(t *testing.T) {
+	memBase := runMemCampaign(t, false, false)
+	if got := runMemCampaign(t, true, false); !reflect.DeepEqual(memBase, got) {
+		t.Fatalf("mem campaign tallies diverged (no-execcache):\ncached: %+v\nnaive:  %+v", memBase, got)
+	}
+	if got := runMemCampaign(t, false, true); !reflect.DeepEqual(memBase, got) {
+		t.Fatalf("mem campaign tallies diverged (no-superblock):\nbatched: %+v\nstepped: %+v", memBase, got)
+	}
+
+	regBase := runRegCampaign(t, false, false)
+	if got := runRegCampaign(t, true, false); !reflect.DeepEqual(regBase, got) {
 		t.Fatalf("reg campaign tallies diverged (no-execcache):\ncached: %+v\nnaive:  %+v", regBase, got)
 	}
-	if got := regRun(false, true); !reflect.DeepEqual(regBase, got) {
+	if got := runRegCampaign(t, false, true); !reflect.DeepEqual(regBase, got) {
 		t.Fatalf("reg campaign tallies diverged (no-superblock):\nbatched: %+v\nstepped: %+v", regBase, got)
 	}
 }
@@ -305,6 +322,32 @@ func TestDeterminismFaultCampaigns(t *testing.T) {
 // without ever entering predecoded state), and intermittent faults toggle
 // on machine-time phases the idle skip must not jump over; every variant
 // must classify every trial identically.
+func runHardFaults(t *testing.T, decorr bool, v hostVariant) map[rcoe.FaultClass]*faults.Tally {
+	t.Helper()
+	cfg := rcoe.Config{
+		Mode:        rcoe.ModeLC,
+		Replicas:    3,
+		Masking:     true,
+		Decorrelate: decorr,
+		TickCycles:  50_000,
+	}
+	v.apply(&cfg)
+	tallies, err := rcoe.HardCampaign(rcoe.HardCampaignOptions{
+		KV: harness.KVOptions{
+			System:     cfg,
+			Workload:   workload.YCSBA,
+			Records:    20,
+			Operations: 40,
+		},
+		TrialsPerClass: 1,
+		Seed:           17,
+	})
+	if err != nil {
+		t.Fatalf("hard campaign (%s): %v", v.name, err)
+	}
+	return tallies
+}
+
 func TestDeterminismHardFaultMatrix(t *testing.T) {
 	for _, decorr := range []bool{false, true} {
 		name := "correlated"
@@ -312,33 +355,9 @@ func TestDeterminismHardFaultMatrix(t *testing.T) {
 			name = "decorrelated"
 		}
 		t.Run(name, func(t *testing.T) {
-			run := func(v hostVariant) map[rcoe.FaultClass]*faults.Tally {
-				cfg := rcoe.Config{
-					Mode:        rcoe.ModeLC,
-					Replicas:    3,
-					Masking:     true,
-					Decorrelate: decorr,
-					TickCycles:  50_000,
-				}
-				v.apply(&cfg)
-				tallies, err := rcoe.HardCampaign(rcoe.HardCampaignOptions{
-					KV: harness.KVOptions{
-						System:     cfg,
-						Workload:   workload.YCSBA,
-						Records:    20,
-						Operations: 40,
-					},
-					TrialsPerClass: 1,
-					Seed:           17,
-				})
-				if err != nil {
-					t.Fatalf("hard campaign (%s): %v", v.name, err)
-				}
-				return tallies
-			}
-			base := run(hostVariants[0])
+			base := runHardFaults(t, decorr, hostVariants[0])
 			for _, v := range hostVariants[1:] {
-				if got := run(v); !reflect.DeepEqual(base, got) {
+				if got := runHardFaults(t, decorr, v); !reflect.DeepEqual(base, got) {
 					t.Fatalf("hard-fault tallies diverged (%s):\nbase: %+v\ngot:  %+v",
 						v.name, base, got)
 				}

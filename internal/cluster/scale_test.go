@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"rcoe/internal/core"
+	"rcoe/internal/stats"
 	"rcoe/internal/workload"
 )
 
@@ -104,38 +107,53 @@ func BenchmarkClusterRound(b *testing.B) {
 	b.ReportMetric(c.HostProfile().RouterShare()*100, "router-%")
 }
 
-// BenchmarkClusterRoundSpeedup runs the same fixed round count on the
+// BenchmarkClusterRoundSpeedup measures steady-state rounds/sec on the
 // 8-shard fleet serially (ShardWorkers=1) and with the host pool
-// (ShardWorkers=0 — all cores) and reports the wall-clock ratio as
-// `speedup`:
+// (ShardWorkers=0 — all cores), each over a fixed 2 s window per
+// iteration, alternating which mode goes first. It reports the medians
+// over b.N iterations and the host's core count:
 //
-//	go test ./internal/cluster -bench ClusterRoundSpeedup -benchtime 1x
+//	go test ./internal/cluster -run '^$' -bench ClusterRoundSpeedup -benchtime 5x
 //
 // The run phase is embarrassingly parallel (8 independent nodes per
 // round), so on an 8-core host the speedup approaches the core count;
 // on a single-core host it records ~1x. EXPERIMENTS.md records the
 // measured number. Artifacts are byte-identical either way.
 func BenchmarkClusterRoundSpeedup(b *testing.B) {
-	const rounds = 256
-	measure := func(workers int) float64 {
+	const window = 2 * time.Second
+	fleet := func(workers int) *Cluster {
 		opts := dmrFleetOptions()
 		opts.ShardWorkers = workers
-		c := steadyCluster(b, opts)
-		before := c.HostProfile()
-		for i := 0; i < rounds; i++ {
+		return steadyCluster(b, opts)
+	}
+	serial, parallel := fleet(1), fleet(0)
+	b.ResetTimer()
+	rate := func(c *Cluster) float64 {
+		rounds, start := 0, time.Now()
+		for time.Since(start) < window {
 			c.Step()
+			rounds++
 		}
-		after := c.HostProfile()
-		return float64(after.TotalNS()-before.TotalNS()) / 1e9
+		return float64(rounds) / time.Since(start).Seconds()
 	}
+	var serialRate, parallelRate, speedup stats.Sample
 	for i := 0; i < b.N; i++ {
-		serial := measure(1)
-		parallel := measure(0)
-		b.ReportMetric(serial/parallel, "speedup")
-		b.ReportMetric(serial, "serial-s")
-		b.ReportMetric(parallel, "parallel-s")
-		b.ReportMetric(float64(rounds)/parallel, "rounds/s")
+		var s, p float64
+		if i%2 == 0 {
+			s = rate(serial)
+			p = rate(parallel)
+		} else {
+			p = rate(parallel)
+			s = rate(serial)
+		}
+		serialRate.Add(s)
+		parallelRate.Add(p)
+		speedup.Add(p / s)
 	}
+	b.ReportMetric(speedup.Median(), "speedup")
+	b.ReportMetric(serialRate.Median(), "serial-rounds/s")
+	b.ReportMetric(parallelRate.Median(), "rounds/s")
+	b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 }
 
 // BenchmarkClusterMillionKey is the million-key scale configuration:

@@ -27,3 +27,8 @@ func SetDebugStale(f func(what string, rid int, now uint64)) { debugStale = f }
 
 // SetDebugRelease installs a test hook observing rendezvous releases.
 func SetDebugRelease(f func(rid int, gen, pc, r5, rbc, now uint64)) { debugRelease = f }
+
+// SetDebugParkShadow installs a test hook that shadow-checks memoized
+// barrier park evaluations: every skipped evaluation also runs the full
+// condition and reports both answers.
+func SetDebugParkShadow(f func(rid int, memo, full bool)) { debugParkShadow = f }

@@ -201,6 +201,9 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Mode != ModeNone && c.Replicas < 2 {
 		return c, fmt.Errorf("core: replication requires >= 2 replicas, got %d", c.Replicas)
 	}
+	if c.Replicas > maxReplicas {
+		return c, fmt.Errorf("core: %d replicas exceed the %d whose shared blocks fit the framework page", c.Replicas, maxReplicas)
+	}
 	if c.Profile.Name == "" {
 		c.Profile = machine.X86()
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"rcoe/internal/kernel"
 	"rcoe/internal/trace"
@@ -189,8 +190,8 @@ func (s *System) doReintegrate(rid int) error {
 	// Rejoin the configuration and charge the transfer to the survivors.
 	s.sh.setWord(wAliveMask, s.sh.word(wAliveMask)|1<<uint(rid))
 	pages := int(dLay.Size / 4096)
-	for _, id := range s.aliveIDs() {
-		s.reps[id].Core().AddStall(pages * reintegrateCostPerPage / 4)
+	for m := s.aliveMask(); m != 0; m &= m - 1 {
+		s.reps[bits.TrailingZeros64(m)].Core().AddStall(pages * reintegrateCostPerPage / 4)
 	}
 	s.stats.Reintegrations++
 	s.trSys(trace.KindReintegrate, uint64(rid), uint64(donor.ID))
@@ -205,8 +206,8 @@ func (s *System) doReintegrate(rid int) error {
 // clones from a non-primary).
 func (s *System) pickDonor() *Replica {
 	primary := s.Primary()
-	for _, rid := range s.aliveIDs() {
-		if rid != primary {
+	for m := s.aliveMask(); m != 0; m &= m - 1 {
+		if rid := bits.TrailingZeros64(m); rid != primary {
 			return s.reps[rid]
 		}
 	}

@@ -54,6 +54,15 @@ const (
 	rwParkedGen = 12 // generation this replica is parked at (0 = running)
 )
 
+// Every framework word and replica block lies in the first page of the
+// shared region, so one page generation (shared.frameworkGen) covers all
+// of them; the barrier park conditions rely on this (parkMemo). The page
+// holds maxReplicas replica blocks, and NewSystem rejects more replicas.
+const (
+	frameworkPageBytes = 4096
+	maxReplicas        = (frameworkPageBytes/8 - repBlockBase) / repBlockWords
+)
+
 // Sync kinds stored at wSyncKind.
 const (
 	syncIRQ   = 1
@@ -76,6 +85,10 @@ func (s shared) setWord(i int, v uint64) {
 	// error to keep call sites readable.
 	_ = s.mem.WriteU(sharedBase+uint64(i)*8, 8, v)
 }
+
+// frameworkGen returns the mutation generation of the framework page.
+// While it is unchanged, no framework word has changed.
+func (s shared) frameworkGen() uint64 { return s.mem.PageGen(sharedBase) }
 
 func (s shared) repWord(rid, w int) uint64 {
 	return s.word(repBlockBase + rid*repBlockWords + w)

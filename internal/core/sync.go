@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"rcoe/internal/trace"
 )
@@ -18,15 +19,12 @@ func (s *System) released(r *Replica) bool {
 	return s.releasedSet&(1<<uint(r.ID)) != 0
 }
 
-// aliveIDs returns the alive replica IDs in ascending order.
-func (s *System) aliveIDs() []int {
-	ids := make([]int, 0, len(s.reps))
-	for rid := range s.reps {
-		if s.sh.alive(rid) {
-			ids = append(ids, rid)
-		}
-	}
-	return ids
+// aliveMask returns the alive-replica bitmask with one read of RAM. Bits
+// at or above the replica count (a fault may set one) are ignored.
+// Callers visit the replicas in ascending ID order by peeling the lowest
+// set bit: rid := bits.TrailingZeros64(m); m &= m - 1.
+func (s *System) aliveMask() uint64 {
+	return s.sh.word(wAliveMask) & (1<<uint(len(s.reps)) - 1)
 }
 
 // requestSync opens a synchronisation generation (or merges into the open
@@ -47,8 +45,8 @@ func (s *System) requestSync(requester int, kind, lines uint64) {
 	s.sh.setWord(wSyncKind, kind)
 	s.sh.setWord(wSyncLines, lines)
 	s.sh.setWord(wSyncGen, s.syncCounter)
-	for _, rid := range s.aliveIDs() {
-		if rid != requester {
+	for m := s.aliveMask(); m != 0; m &= m - 1 {
+		if rid := bits.TrailingZeros64(m); rid != requester {
 			s.m.SendIPI(rid)
 		}
 	}
@@ -60,8 +58,8 @@ func (s *System) requestSync(requester int, kind, lines uint64) {
 func (s *System) maxAliveTime() logicalTime {
 	var maxT logicalTime
 	first := true
-	for _, rid := range s.aliveIDs() {
-		t := s.sh.readTime(rid)
+	for m := s.aliveMask(); m != 0; m &= m - 1 {
+		t := s.sh.readTime(bits.TrailingZeros64(m))
 		if first || maxT.less(t) {
 			maxT = t
 			first = false
@@ -77,7 +75,8 @@ func (s *System) maxAliveTime() logicalTime {
 func (s *System) allArrivedEqual(gen uint64) bool {
 	var ref logicalTime
 	first := true
-	for _, rid := range s.aliveIDs() {
+	for m := s.aliveMask(); m != 0; m &= m - 1 {
+		rid := bits.TrailingZeros64(m)
 		if s.sh.repWord(rid, rwArriveGen) != gen {
 			return false
 		}
@@ -212,25 +211,7 @@ func (s *System) parkAtRendezvous(r *Replica, gen uint64) {
 func (s *System) armRendezvousPark(r *Replica, gen uint64) {
 	r.park = parkDesc{kind: parkRendezvous, gen: gen}
 	c := r.Core()
-	c.Park(func() bool {
-		if s.halted {
-			return true
-		}
-		if s.sh.word(wReleaseGen) == gen {
-			return true
-		}
-		if s.canAdvance(r) {
-			myT := s.sh.readTime(r.ID)
-			if myT.less(s.maxAliveTime()) {
-				return true // overtaken: resume and catch up
-			}
-		}
-		if s.allArrivedEqual(gen) {
-			s.completeRendezvous(gen)
-			return true
-		}
-		return c.Cycles-r.barrierStart > s.cfg.BarrierTimeout
-	}, func() {
+	c.Park(s.barrierParkCond(r, nil), func() {
 		switch {
 		case s.halted:
 			c.Halt()
@@ -255,6 +236,68 @@ func (s *System) armRendezvousPark(r *Replica, gen uint64) {
 	// The only time-driven exit is the spin-budget expiry; everything else
 	// (release, overtake, level-up) comes from peers executing.
 	c.ParkWakeAt(r.barrierStart + s.cfg.BarrierTimeout + 1)
+}
+
+// barrierParkCond builds the park condition of the barrier r.park
+// describes: a rendezvous, or an event barrier whose completion runs
+// action. It re-evaluates only when something it reads may have changed
+// (DESIGN.md §4d). barrierWake reads only framework-page words, s.halted
+// and canAdvance(r), and a false evaluation changes nothing, so while the
+// framework page generation and canAdvance match the last false
+// evaluation (r.memo) and the system is not halted, only the spin budget
+// can turn the answer true.
+func (s *System) barrierParkCond(r *Replica, action func()) func() bool {
+	desc := r.park
+	r.memo = parkMemo{}
+	c := r.Core()
+	return func() bool {
+		key := parkMemo{gen: s.sh.frameworkGen(), adv: s.canAdvance(r), valid: true}
+		if r.memo == key && !s.halted {
+			expired := c.Cycles-r.barrierStart > s.cfg.BarrierTimeout
+			if debugParkShadow != nil {
+				full, _ := s.barrierWake(r, desc)
+				debugParkShadow(r.ID, expired, full || expired)
+			}
+			return expired
+		}
+		wake, complete := s.barrierWake(r, desc)
+		switch {
+		case complete && desc.kind == parkRendezvous:
+			s.completeRendezvous(desc.gen)
+		case complete:
+			s.completeEventBarrier(desc.ev, action)
+		}
+		if wake {
+			return true
+		}
+		r.memo = key
+		return c.Cycles-r.barrierStart > s.cfg.BarrierTimeout
+	}
+}
+
+// barrierWake evaluates the park condition of barrier desc for r, apart
+// from the spin budget, without side effects: wake reports whether the
+// park ends, complete whether it ends by completing the barrier (which
+// the caller then runs).
+func (s *System) barrierWake(r *Replica, desc parkDesc) (wake, complete bool) {
+	if s.halted {
+		return true, false
+	}
+	if desc.kind != parkRendezvous {
+		if s.sh.word(wVoteRelease) >= desc.ev {
+			return true, false
+		}
+		done := s.allVotedAt(desc.ev)
+		return done, done
+	}
+	if s.sh.word(wReleaseGen) == desc.gen {
+		return true, false
+	}
+	if s.canAdvance(r) && s.sh.readTime(r.ID).less(s.maxAliveTime()) {
+		return true, false // overtaken: resume and catch up
+	}
+	done := s.allArrivedEqual(desc.gen)
+	return done, done
 }
 
 // completeRendezvous runs when the last replica levels up: it votes on
@@ -289,8 +332,8 @@ func (s *System) completeRendezvous(gen uint64) {
 }
 
 func (s *System) allAliveFinished() bool {
-	for _, rid := range s.aliveIDs() {
-		if s.sh.repWord(rid, rwDoneFlag) == 0 {
+	for m := s.aliveMask(); m != 0; m &= m - 1 {
+		if s.sh.repWord(bits.TrailingZeros64(m), rwDoneFlag) == 0 {
 			return false
 		}
 	}
@@ -301,13 +344,16 @@ func (s *System) allAliveFinished() bool {
 // (event count, checksum) signatures.
 func (s *System) compareSignatures() bool {
 	s.stats.Votes++
-	ids := s.aliveIDs()
-	for _, rid := range ids {
-		s.reps[rid].Core().AddStall(20 * len(ids)) // redundant comparison cost
+	alive := s.aliveMask()
+	n := bits.OnesCount64(alive)
+	for m := alive; m != 0; m &= m - 1 {
+		s.reps[bits.TrailingZeros64(m)].Core().AddStall(20 * n) // redundant comparison cost
 	}
-	refEv := s.sh.repWord(ids[0], rwSigEvents)
-	refSum := s.sh.repWord(ids[0], rwChecksum)
-	for _, rid := range ids[1:] {
+	ref := bits.TrailingZeros64(alive)
+	refEv := s.sh.repWord(ref, rwSigEvents)
+	refSum := s.sh.repWord(ref, rwChecksum)
+	for m := alive & (alive - 1); m != 0; m &= m - 1 {
+		rid := bits.TrailingZeros64(m)
 		if s.sh.repWord(rid, rwSigEvents) != refEv || s.sh.repWord(rid, rwChecksum) != refSum {
 			return false
 		}
@@ -429,17 +475,18 @@ func (s *System) barrierTimeout(r *Replica, gen uint64) bool {
 // disagrees with an agreeing majority of all the others, or -1 when no
 // such consensus exists.
 func (s *System) timeMinority() int {
-	ids := s.aliveIDs()
-	n := len(ids)
+	alive := s.aliveMask()
+	n := bits.OnesCount64(alive)
 	if n < 3 {
 		return -1
 	}
 	best, bestCount := -1, 0
-	for _, rid := range ids {
+	for m := alive; m != 0; m &= m - 1 {
+		rid := bits.TrailingZeros64(m)
 		t := s.sh.readTime(rid)
 		count := 0
-		for _, o := range ids {
-			if s.sh.readTime(o).equal(t) {
+		for o := alive; o != 0; o &= o - 1 {
+			if s.sh.readTime(bits.TrailingZeros64(o)).equal(t) {
 				count++
 			}
 		}
@@ -452,8 +499,8 @@ func (s *System) timeMinority() int {
 		return -1
 	}
 	ref := s.sh.readTime(best)
-	for _, rid := range ids {
-		if !s.sh.readTime(rid).equal(ref) {
+	for m := alive; m != 0; m &= m - 1 {
+		if rid := bits.TrailingZeros64(m); !s.sh.readTime(rid).equal(ref) {
 			return rid
 		}
 	}
@@ -465,13 +512,13 @@ func (s *System) timeMinority() int {
 // (lost mid-catch-up, e.g. a CC chase that cannot converge). Returns -1
 // when all alive replicas are arrived and parked.
 func (s *System) rendezvousStraggler(gen uint64) int {
-	for _, rid := range s.aliveIDs() {
-		if s.sh.repWord(rid, rwArriveGen) != gen {
+	for m := s.aliveMask(); m != 0; m &= m - 1 {
+		if rid := bits.TrailingZeros64(m); s.sh.repWord(rid, rwArriveGen) != gen {
 			return rid
 		}
 	}
-	for _, rid := range s.aliveIDs() {
-		if s.sh.repWord(rid, rwParkedGen) != gen {
+	for m := s.aliveMask(); m != 0; m &= m - 1 {
+		if rid := bits.TrailingZeros64(m); s.sh.repWord(rid, rwParkedGen) != gen {
 			return rid
 		}
 	}
@@ -483,8 +530,8 @@ func (s *System) rendezvousStraggler(gen uint64) int {
 // a rendezvous generation.
 func (s *System) eventBarrierTimeout(r *Replica, ev uint64) bool {
 	straggler := -1
-	for _, rid := range s.aliveIDs() {
-		if s.sh.repWord(rid, rwVoteEvent) < ev {
+	for m := s.aliveMask(); m != 0; m &= m - 1 {
+		if rid := bits.TrailingZeros64(m); s.sh.repWord(rid, rwVoteEvent) < ev {
 			straggler = rid
 			break
 		}
@@ -508,6 +555,11 @@ var debugStale func(what string, rid int, now uint64)
 
 // debugRelease, when set, observes rendezvous releases (tests only).
 var debugRelease func(rid int, gen, pc, r5, rbc, now uint64)
+
+// debugParkShadow, when set, observes every barrier park evaluation the
+// memo skipped: memo is the answer returned, full the answer the complete
+// condition gives (tests only; the two must agree).
+var debugParkShadow func(rid int, memo, full bool)
 
 // onBreakpoint services the catch-up breakpoint: compare the precise
 // logical clocks and either join the rendezvous, step over the breakpoint
@@ -652,19 +704,7 @@ func (s *System) armEventBarrier(r *Replica, desc parkDesc, action func(), cont 
 	r.park = desc
 	ev := desc.ev
 	c := r.Core()
-	c.Park(func() bool {
-		if s.halted {
-			return true
-		}
-		if s.sh.word(wVoteRelease) >= ev {
-			return true
-		}
-		if s.allVotedAt(ev) {
-			s.completeEventBarrier(ev, action)
-			return true
-		}
-		return c.Cycles-r.barrierStart > s.cfg.BarrierTimeout
-	}, func() {
+	c.Park(s.barrierParkCond(r, action), func() {
 		switch {
 		case s.halted:
 			c.Halt()
@@ -698,8 +738,8 @@ func (s *System) armEventBarrier(r *Replica, desc parkDesc, action func(), cont 
 // allVotedAt reports whether every alive replica has arrived at event ev
 // (or later) of the per-syscall vote sequence.
 func (s *System) allVotedAt(ev uint64) bool {
-	for _, rid := range s.aliveIDs() {
-		if s.sh.repWord(rid, rwVoteEvent) < ev {
+	for m := s.aliveMask(); m != 0; m &= m - 1 {
+		if s.sh.repWord(bits.TrailingZeros64(m), rwVoteEvent) < ev {
 			return false
 		}
 	}
@@ -710,11 +750,11 @@ func (s *System) allVotedAt(ev uint64) bool {
 // failed vote, runs the device-side action, and releases the barrier.
 func (s *System) completeEventBarrier(ev uint64, action func()) {
 	s.stats.Votes++
-	ids := s.aliveIDs()
-	ref := s.sh.repWord(ids[0], rwVoteSum)
+	alive := s.aliveMask()
+	ref := s.sh.repWord(bits.TrailingZeros64(alive), rwVoteSum)
 	equal := true
-	for _, rid := range ids[1:] {
-		if s.sh.repWord(rid, rwVoteSum) != ref {
+	for m := alive & (alive - 1); m != 0; m &= m - 1 {
+		if s.sh.repWord(bits.TrailingZeros64(m), rwVoteSum) != ref {
 			equal = false
 			break
 		}
@@ -732,7 +772,8 @@ func (s *System) completeEventBarrier(ev uint64, action func()) {
 		// values: copy the per-syscall vote sums into the checksum array
 		// Listing 5 reads, so consensus reflects this vote, not a stale
 		// rendezvous signature.
-		for _, rid := range ids {
+		for m := alive; m != 0; m &= m - 1 {
+			rid := bits.TrailingZeros64(m)
 			s.sh.setRepWord(rid, rwChecksum, s.sh.repWord(rid, rwVoteSum))
 		}
 		s.handleVoteFailure()

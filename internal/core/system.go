@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"rcoe/internal/isa"
 	"rcoe/internal/kernel"
@@ -49,6 +50,17 @@ type Replica struct {
 	// lets a snapshot restore re-arm an equivalent park). It is recorded
 	// by the arm* installers and never cleared — stale while running.
 	park parkDesc
+	// memo is the barrier park condition's memo (barrierParkCond):
+	// host-side state, reset by every arm and never serialized.
+	memo parkMemo
+}
+
+// parkMemo records the inputs of a barrier park condition's last false
+// evaluation: the framework page's mutation generation and canAdvance.
+type parkMemo struct {
+	gen   uint64
+	adv   bool
+	valid bool
 }
 
 // Core returns the replica's CPU core.
@@ -317,15 +329,7 @@ func (s *System) Primary() int { return int(s.sh.word(wPrimary)) }
 func (s *System) Alive(rid int) bool { return s.sh.alive(rid) }
 
 // AliveCount returns the number of replicas still alive.
-func (s *System) AliveCount() int {
-	n := 0
-	for rid := range s.reps {
-		if s.sh.alive(rid) {
-			n++
-		}
-	}
-	return n
-}
+func (s *System) AliveCount() int { return bits.OnesCount64(s.aliveMask()) }
 
 // Detections returns the recorded detection events.
 func (s *System) Detections() []Detection {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"rcoe/internal/machine"
 	"rcoe/internal/trace"
@@ -46,14 +47,15 @@ func (s *System) handleVoteFailure() {
 // explicit. It returns the faulty replica's ID and whether consensus was
 // reached.
 func (s *System) runFaultVote() (int, bool) {
-	ids := s.aliveIDs()
-	n := len(ids)
+	alive := s.aliveMask()
+	n := bits.OnesCount64(alive)
 	// Phase 1: each replica counts how many checksums match its own.
-	for _, my := range ids {
+	for m := alive; m != 0; m &= m - 1 {
+		my := bits.TrailingZeros64(m)
 		mySum := s.sh.repWord(my, rwChecksum)
 		votes := uint64(0)
-		for _, i := range ids {
-			if s.sh.repWord(i, rwChecksum) == mySum {
+		for o := alive; o != 0; o &= o - 1 {
+			if s.sh.repWord(bits.TrailingZeros64(o), rwChecksum) == mySum {
 				votes++
 			}
 		}
@@ -64,10 +66,12 @@ func (s *System) runFaultVote() (int, bool) {
 	// Phase 2: the replica with the fewest matches is the fault
 	// candidate; a replica whose own vote count is not N-1 accuses
 	// itself (it knows its checksum is the odd one out).
-	for _, my := range ids {
+	for m := alive; m != 0; m &= m - 1 {
+		my := bits.TrailingZeros64(m)
 		least := uint64(n) + 1
 		fault := n + 1
-		for _, i := range ids {
+		for o := alive; o != 0; o &= o - 1 {
+			i := bits.TrailingZeros64(o)
 			if v := s.sh.repWord(i, rwFTVotes); v < least {
 				least = v
 				fault = i
@@ -81,9 +85,9 @@ func (s *System) runFaultVote() (int, bool) {
 		s.reps[my].Core().AddStall(10 * n)
 	}
 	// kbarrier — then phase 3: consensus check.
-	ref := s.sh.repWord(ids[0], rwFTFaulty)
-	for _, i := range ids[1:] {
-		if s.sh.repWord(i, rwFTFaulty) != ref {
+	ref := s.sh.repWord(bits.TrailingZeros64(alive), rwFTFaulty)
+	for o := alive & (alive - 1); o != 0; o &= o - 1 {
+		if s.sh.repWord(bits.TrailingZeros64(o), rwFTFaulty) != ref {
 			return -1, false // ERROR_DIFF_FAULT_REPLICA
 		}
 	}
@@ -168,7 +172,7 @@ func (s *System) removeReplica(faulty int) {
 	s.sh.removeAlive(faulty)
 	cost := 0
 	if wasPrimary {
-		newP := s.aliveIDs()[0]
+		newP := bits.TrailingZeros64(s.aliveMask())
 		s.sh.setWord(wPrimary, uint64(newP))
 		for line := 0; line < 64; line++ {
 			s.m.RouteIRQ(line, newP)
@@ -196,8 +200,8 @@ func (s *System) removeReplica(faulty int) {
 			cost = costRemoveOtherLC
 		}
 	}
-	for _, rid := range s.aliveIDs() {
-		s.reps[rid].Core().AddStall(cost)
+	for m := s.aliveMask(); m != 0; m &= m - 1 {
+		s.reps[bits.TrailingZeros64(m)].Core().AddStall(cost)
 	}
 	s.stats.DowngradeCycles = uint64(cost)
 	if s.met != nil {

@@ -221,6 +221,10 @@ type Core struct {
 
 	// parkCond is evaluated every cycle while parked; when it returns
 	// true the core resumes (state back to Running) and parkDone runs.
+	// An evaluation that returns false must have no side effects, so a
+	// condition may answer from a memo of its last evaluation while its
+	// inputs are unchanged — e.g. words of one page, compared by
+	// Mem.PageGen (the RCoE barrier waits do this).
 	parkCond func() bool
 	parkDone func()
 	// parkWake is the fast-forward wake hint for the current park: 0

@@ -20,12 +20,14 @@ const pageShift = 12
 // devices (DMA) and fault injectors can touch memory without disturbing
 // the cost model.
 //
-// Every mutation path — Write, WriteU, Fill, Move, FlipBit, and Slice
-// window grants — bumps a per-page generation counter. The per-core
-// execution caches (execcache.go) validate their predecoded entries
-// against these counters, which is what makes self-modifying code,
-// injected bit-flips in text, DMA, and re-integration partition copies
-// behave bit-identically with and without the caches.
+// Every mutation path — Write, WriteU, Fill, Move, FlipBit, Slice window
+// grants, stuck-bit re-assertion and loadState — bumps a per-page
+// generation counter. The per-core execution caches (execcache.go)
+// validate their predecoded entries against these counters, which is
+// what makes self-modifying code, injected bit-flips in text, DMA, and
+// re-integration partition copies behave bit-identically with and
+// without the caches; the RCoE barrier waits use the same counters
+// (PageGen) to skip re-reading an unchanged framework page.
 type Mem struct {
 	bytes []byte
 	// pageGen counts mutations per physical page. Monotonic, 64-bit, so
@@ -47,6 +49,14 @@ func NewMem(size int) *Mem {
 
 // Size returns the memory size in bytes.
 func (m *Mem) Size() uint64 { return uint64(len(m.bytes)) }
+
+// PageGen returns the mutation generation of the 4 KiB page holding addr,
+// which must lie in RAM. The counter changes whenever any byte of the
+// page may have changed (every mutation path listed on Mem bumps it, as
+// do stuck-bit re-assertion and a state restore), so two equal readings
+// prove the page's contents equal in between. Host code polling words
+// that all sit in one page can skip the re-read while it is unchanged.
+func (m *Mem) PageGen(addr uint64) uint64 { return m.pageGen[addr>>pageShift] }
 
 func (m *Mem) check(addr uint64, n int) error {
 	if addr+uint64(n) > uint64(len(m.bytes)) || addr+uint64(n) < addr {
